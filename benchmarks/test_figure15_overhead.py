@@ -35,10 +35,10 @@ def _train_policy(sharing: str, seed: int = 3):
         started = time.perf_counter()
         decision = policy.select(ctx)
         select_elapsed = time.perf_counter() - started
-        execution = engine.execute(decision, conditions)
-        training = backend.run_round(execution.participant_ids)
+        batch = engine.execute_batch(decision, conditions)
+        training = backend.run_round(batch.participant_ids)
         started = time.perf_counter()
-        policy.feedback(ctx, decision, execution, training)
+        policy.feedback(ctx, decision, batch, training)
         overhead_s.append(select_elapsed + (time.perf_counter() - started))
     rewards = policy.reward_history()
     return {

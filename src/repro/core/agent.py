@@ -126,9 +126,7 @@ class AutoFLAgent:
         device_ids = list(local_states)
         explored = bool(self._rng.random() < self._config.epsilon)
         if explored:
-            chosen = list(
-                self._rng.choice(device_ids, size=num_participants, replace=False).astype(int)
-            )
+            chosen = self._rng.choice(device_ids, size=num_participants, replace=False).tolist()
             actions = {
                 device_id: int(self._rng.choice(self._catalog.action_ids))
                 for device_id in chosen

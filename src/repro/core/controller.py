@@ -14,7 +14,7 @@ from repro.exceptions import PolicyError
 from repro.registry import POLICIES
 from repro.fl.server import RoundTrainingResult
 from repro.sim.context import RoundContext, SelectionDecision
-from repro.sim.results import BatchRoundExecution, RoundExecution
+from repro.sim.results import BatchRoundExecution
 
 
 @POLICIES.register("autofl")
@@ -28,7 +28,6 @@ class AutoFLPolicy(Policy):
     """
 
     name = "autofl"
-    uses_feedback = True
 
     def __init__(
         self,
@@ -136,117 +135,44 @@ class AutoFLPolicy(Policy):
         }
         return SelectionDecision(participants=selection.participant_ids, targets=targets)
 
-    def feedback_batch(
+    def feedback(
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
         batch: BatchRoundExecution,
         training: RoundTrainingResult,
-    ) -> bool:
-        if not self._vectorized:
-            return False
-        self._ensure_agent(ctx)
-        arrays = ctx.environment.fleet_arrays
-        rows = arrays.rows_for(decision.participants)
-        # Fleet-order per-device energies straight from the batch arrays: participants
-        # contribute compute + communication + waiting, everyone else their idle draw.
-        fleet_local = batch.idle_j.copy()
-        fleet_local[rows] = (batch.compute_j + batch.communication_j) + batch.waiting_j
-        selected_mask = np.zeros(len(arrays), dtype=bool)
-        selected_mask[rows] = True
-        failed_mask = np.zeros(len(arrays), dtype=bool)
-        failed_mask[rows] = batch.failed
-        self._apply_vector_feedback(
-            ctx, fleet_local, selected_mask, failed_mask, float(np.sum(fleet_local)), training
-        )
-        return True
-
-    def _apply_vector_feedback(
-        self,
-        ctx: RoundContext,
-        fleet_local: np.ndarray,
-        selected_mask: np.ndarray,
-        failed_mask: np.ndarray,
-        global_energy: float,
-        training: RoundTrainingResult,
     ) -> None:
+        """Turn the round's measured energies and accuracy into per-device rewards
+        (paper Eq. 5-7) and hand them to the agent, straight from the batch arrays."""
         agent = self.agent
-        assert isinstance(agent, VectorAutoFLAgent)
-        participant_local = fleet_local[selected_mask]
-        mean_participant = (
-            float(np.mean(participant_local)) if len(participant_local) else 0.0
-        )
-        self._reward.observe_round(global_energy, mean_participant)
-        # Rewards land on the round's observable candidates — the same rows the agent
-        # holds pending transitions for (offline devices got no transition).
-        candidate_rows = self._candidate_rows(ctx)
-        rewards = self._reward.rewards_batch(
-            global_energy_j=global_energy,
-            local_energy_j=fleet_local[candidate_rows],
-            accuracy=training.accuracy,
-            previous_accuracy=training.previous_accuracy,
-            selected=selected_mask[candidate_rows],
-            failed=failed_mask[candidate_rows],
-        )
-        agent.record_rewards(rewards)
-
-    def feedback(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
-        execution: RoundExecution,
-        training: RoundTrainingResult,
-    ) -> None:
-        agent = self._ensure_agent(ctx)
-        if self._vectorized:
-            # Slow array-path fallback for callers that only have the scalar execution
-            # object; the simulation runner routes through feedback_batch instead.
-            assert isinstance(agent, VectorAutoFLAgent)
-            fleet_ids = ctx.environment.fleet_arrays.device_ids
-            selected_set = set(decision.participants)
-            failed_set = set(execution.failed_ids)
-            energies = [execution.energy.device(int(d)) for d in fleet_ids]
-            fleet_local = np.array(
-                [
-                    energy.total_j if int(d) in selected_set else energy.idle_j
-                    for d, energy in zip(fleet_ids, energies)
-                ],
-                dtype=np.float64,
-            )
-            selected_mask = np.array([int(d) in selected_set for d in fleet_ids])
-            failed_mask = np.array([int(d) in failed_set for d in fleet_ids])
-            self._apply_vector_feedback(
-                ctx, fleet_local, selected_mask, failed_mask,
-                execution.energy.global_j, training,
-            )
-            return
-        assert isinstance(agent, AutoFLAgent)
-        selected = set(decision.participants)
-        global_energy = execution.energy.global_j
-        participant_energies = [
-            execution.energy.device(device_id).total_j for device_id in selected
-        ]
-        mean_participant = float(np.mean(participant_energies)) if participant_energies else 0.0
-        self._reward.observe_round(global_energy, mean_participant)
-
+        # Per-device local energy in fleet order: participants' compute + radio +
+        # waiting, everyone else their idle draw.
+        fleet_local = batch.fleet_energies_j
+        global_energy = batch.global_energy_j
+        self._reward.observe_round(global_energy, float(np.mean(batch.participant_energies_j)))
         # Mid-round failures feed back as unreliability: a failed pick wasted energy and
         # contributed nothing, so its reward collapses to the penalty branch and the
         # Q-tables learn to avoid re-selecting devices in that (state, action).
-        failed = set(execution.failed_ids)
-        rewards: dict[int, float] = {}
-        for device in ctx.environment.fleet:
-            device_id = device.device_id
-            energy = execution.energy.device(device_id)
-            local_energy = energy.total_j if device_id in selected else energy.idle_j
-            rewards[device_id] = self._reward.reward(
-                global_energy_j=global_energy,
-                local_energy_j=local_energy,
-                accuracy=training.accuracy,
-                previous_accuracy=training.previous_accuracy,
-                selected=device_id in selected,
-                failed=device_id in failed,
-            )
-        agent.record_rewards(rewards)
+        selected = np.zeros(len(fleet_local), dtype=bool)
+        selected[batch.selected_rows] = True
+        failed = np.zeros(len(fleet_local), dtype=bool)
+        failed[batch.selected_rows] = batch.failed
+        # Rewards land on the round's observable candidates — the devices the agent
+        # holds pending transitions for (offline devices got no transition).
+        rows = self._candidate_rows(ctx)
+        rewards = self._reward.rewards_batch(
+            global_energy_j=global_energy,
+            local_energy_j=fleet_local[rows],
+            accuracy=training.accuracy,
+            previous_accuracy=training.previous_accuracy,
+            selected=selected[rows],
+            failed=failed[rows],
+        )
+        if isinstance(agent, AutoFLAgent):
+            device_ids = ctx.environment.fleet_arrays.device_ids[rows]
+            agent.record_rewards(dict(zip(device_ids.tolist(), rewards.tolist())))
+        else:
+            agent.record_rewards(rewards)
 
     def reward_history(self) -> list[float]:
         """Mean per-round reward trajectory (Figure 15 convergence analysis)."""

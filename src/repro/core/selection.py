@@ -15,7 +15,7 @@ from repro.exceptions import PolicyError
 from repro.fl.server import RoundTrainingResult
 from repro.registry import POLICIES
 from repro.sim.context import RoundContext, SelectionDecision
-from repro.sim.results import BatchRoundExecution, RoundExecution
+from repro.sim.results import BatchRoundExecution
 
 #: Paper Table 4 — cluster templates, expressed as device counts per tier for K = 20.
 #: C0 is the random baseline (no fixed composition).
@@ -37,10 +37,6 @@ class Policy:
     """Base class for participant-selection policies."""
 
     name = "base"
-    #: Whether :meth:`feedback` does anything.  Policies that learn from round outcomes
-    #: (AutoFL) set this True; the replicated execution path only supports policies whose
-    #: feedback is a no-op, because it skips the per-round feedback call entirely.
-    uses_feedback = False
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -53,25 +49,19 @@ class Policy:
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
-        execution: RoundExecution,
-        training: RoundTrainingResult,
-    ) -> None:
-        """Receive the measured outcome of the round.  Non-learning policies ignore it."""
-
-    def feedback_batch(
-        self,
-        ctx: RoundContext,
-        decision: SelectionDecision,
         batch: BatchRoundExecution,
         training: RoundTrainingResult,
-    ) -> bool:
-        """Array-form feedback: return True if handled, False to request :meth:`feedback`.
+    ) -> None:
+        """Receive the measured outcome of the round as the engine's batch arrays.
 
-        The simulation runner offers the round outcome in batch (array) form first;
-        policies with a vectorised learning path accept it here and skip the scalar
-        :class:`RoundExecution` materialisation cost.  The default declines.
+        The one learning hook: solo and replicated runs call it once per round, after
+        training and before the record is built.  Non-learning policies ignore it.
         """
-        return False
+
+    # The former array-form hook, kept only as an alias: the end-to-end benchmark's
+    # tracer (e2ebench/layers.py) wraps a policy's ``feedback_batch`` by name.
+    def feedback_batch(self, *args, **kwargs) -> None:
+        return self.feedback(*args, **kwargs)
 
 
 def effective_num_participants(ctx: RoundContext) -> int:

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from repro.exceptions import SimulationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceEnergy:
-    """Energy breakdown (Joules) of a single device over one aggregation round."""
+    """Energy breakdown (Joules) of a single device over one aggregation round.
+
+    Slotted: the scalar reference view of a round holds one per fleet device.
+    """
 
     compute_j: float = 0.0
     communication_j: float = 0.0

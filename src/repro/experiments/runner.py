@@ -145,19 +145,6 @@ class ExperimentResult:
         )
 
 
-def _run_unit(unit: ExperimentSpec, validate: bool):
-    """Run one single-seed unit job, optionally under full invariant auditing."""
-    if not validate:
-        return build_simulation(unit).run().summary()
-    # Local import: the validation subsystem sits above the experiment layer.
-    from repro.validation.invariants import InvariantAuditor
-
-    auditor = InvariantAuditor(num_devices=unit.scenario.num_devices)
-    result = build_simulation(unit, round_observer=auditor).run()
-    auditor.audit_result(result).raise_if_failed()
-    return result.summary()
-
-
 def run_experiment(spec: ExperimentSpec, validate: bool = False) -> ExperimentResult:
     """Run one experiment spec (all its seed replicas) in the current process.
 
@@ -166,24 +153,33 @@ def run_experiment(spec: ExperimentSpec, validate: bool = False) -> ExperimentRe
     (:mod:`repro.validation.invariants`); a violation raises
     :class:`~repro.exceptions.ValidationError` instead of returning a tainted result.
 
-    Seed replicas of non-learning policies run through the batch engine's replicate
-    axis (one stacked physics call per round instead of N serial loops); learning
-    policies, single seeds and validated runs keep the serial per-seed path.  Either
-    way each replica's trajectory is byte-identical to running its seed alone.
+    Seed replicas run through the batch engine's replicate axis (one stacked physics
+    call per round instead of N serial loops), for every policy and with or without
+    auditing; each replica's trajectory is byte-identical to running its seed alone.
     """
     start = time.perf_counter()
     units = spec.seed_specs()
-    if not validate and len(units) > 1:
-        simulations = [build_simulation(unit) for unit in units]
-        if all(simulation.replication_supported for simulation in simulations):
-            results = FLSimulation.run_replicated(simulations)
-            summaries = tuple(result.summary() for result in results)
-        else:
-            summaries = tuple(simulation.run().summary() for simulation in simulations)
+    auditors = [None] * len(units)
+    if validate:
+        # Local import: the validation subsystem sits above the experiment layer.
+        from repro.validation.invariants import InvariantAuditor
+
+        auditors = [InvariantAuditor(num_devices=unit.scenario.num_devices) for unit in units]
+    simulations = [
+        build_simulation(unit, round_observer=auditor)
+        for unit, auditor in zip(units, auditors)
+    ]
+    if len(simulations) == 1:
+        results = [simulations[0].run()]
     else:
-        summaries = tuple(_run_unit(unit, validate) for unit in units)
+        results = FLSimulation.run_replicated(simulations)
+    for auditor, result in zip(auditors, results):
+        if auditor is not None:
+            auditor.audit_result(result).raise_if_failed()
     return ExperimentResult(
-        spec=spec, summaries=summaries, elapsed_s=time.perf_counter() - start
+        spec=spec,
+        summaries=tuple(result.summary() for result in results),
+        elapsed_s=time.perf_counter() - start,
     )
 
 

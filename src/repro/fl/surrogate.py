@@ -75,9 +75,10 @@ class SurrogateConvergenceModel:
         total_samples = sum(profile.num_samples for profile in participants)
         if total_samples == 0:
             return 0.0
-        return sum(
-            profile.data_quality * profile.num_samples for profile in participants
-        ) / total_samples
+        weighted = [profile.data_quality * profile.num_samples for profile in participants]
+        # Left to right (np.cumsum), like builtin sum() before CPython 3.12 compensated
+        # float sums, so seeded trajectories do not depend on the Python version.
+        return float(np.cumsum(weighted)[-1]) / total_samples
 
     def step(
         self,

@@ -110,12 +110,31 @@ class ArtifactStore:
             conn = sqlite3.connect(
                 self.path, timeout=self.timeout_s, check_same_thread=False
             )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.timeout_s * 1000)}")
+            self._enable_wal(conn)
+            conn.execute("PRAGMA synchronous=NORMAL")
             self._conn = conn
             self._conn_pid = os.getpid()
         return self._conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Put the file in WAL mode unless it already is (the mode is persistent).
+
+        Switching the journal mode needs an exclusive lock, and SQLite can refuse it
+        with ``database is locked`` without waiting on the busy timeout while another
+        process is creating the same fresh file — so the switch retries, bounded by
+        the store's timeout.
+        """
+        deadline = time.monotonic() + self.timeout_s
+        while True:
+            try:
+                if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def close(self) -> None:
         """Close the current process's connection (reopened lazily on next use)."""

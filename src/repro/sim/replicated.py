@@ -7,62 +7,23 @@ replicates round by round and executes each round's device physics as a single s
 ``[replicates, participants]`` engine call
 (:func:`~repro.sim.round_engine.execute_batch_replicated`).
 
-The control plane stays per-replicate and follows the exact per-round call order of the
-solo runner — online mask, condition sampling, selection, fault draw — on each replicate's
-own RNG streams, and the round records are assembled with the same floating-point
-summation order the scalar path uses.  Every replicate's :class:`SimulationResult` is
-therefore byte-identical (``to_json``) to running that seed alone.
-
-The path applies only to non-learning policies (``uses_feedback`` False) without a round
-observer: it skips the per-round feedback call and scalar-execution materialisation
-entirely, which is where the speed-up comes from.
+Everything around that call is the solo runner's own code: each replicate plans its round
+(online mask, condition sampling, selection, fault draw) and finishes it (training, policy
+feedback, record, round observer, convergence) through the same
+:class:`~repro.sim.runner.FLSimulation` steps, on its own RNG streams.  Every replicate's
+:class:`SimulationResult` is therefore byte-identical (``to_json``) to running that seed
+alone — for learning policies and audited runs too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.sim.context import RoundContext
-from repro.sim.results import BatchRoundExecution, RoundRecord, SimulationResult
+from repro.sim.results import SimulationResult
 from repro.sim.round_engine import execute_batch_replicated
 from repro.sim.runner import FLSimulation
-
-
-def _record_from_batch(
-    round_index: int,
-    decision,
-    batch: BatchRoundExecution,
-    training,
-    online_mask: np.ndarray | None,
-    rows: np.ndarray,
-) -> RoundRecord:
-    """Assemble a round record from the batch arrays, bit-matching the scalar path.
-
-    The scalar runner sums device energies as Python floats in selection order
-    (participants) and fleet order (global); both sums are reproduced here from the
-    batch arrays via ``tolist()`` so the stored floats are identical.  ``rows`` maps
-    the selection order onto fleet rows.
-    """
-    participant_totals = (batch.compute_j + batch.communication_j) + batch.waiting_j
-    fleet_totals = batch.idle_j.copy()
-    fleet_totals[rows] = participant_totals
-    return RoundRecord(
-        round_index=round_index,
-        selected_ids=tuple(sorted(decision.participants)),
-        dropped_ids=tuple(batch.dropped_ids),
-        targets=dict(decision.targets),
-        round_time_s=batch.round_time_s,
-        participant_energy_j=sum(participant_totals.tolist()),
-        global_energy_j=sum(fleet_totals.tolist()),
-        accuracy=training.accuracy,
-        accuracy_improvement=training.accuracy_improvement,
-        failed_ids=tuple(batch.failed_ids),
-        num_online=None if online_mask is None else int(online_mask.sum()),
-    )
 
 
 class ReplicatedSimulation:
@@ -71,25 +32,12 @@ class ReplicatedSimulation:
     def __init__(self, simulations: Sequence[FLSimulation]) -> None:
         if not simulations:
             raise SimulationError("replicated execution needs at least one simulation")
-        for sim in simulations:
-            if not sim.replication_supported:
-                raise SimulationError(
-                    f"policy {sim.policy.name!r} (or a round observer) requires per-round "
-                    "feedback; run its seeds serially instead of replicated"
-                )
         self._sims = list(simulations)
 
     def run(self) -> list[SimulationResult]:
         """Run every replicate to convergence (or its round budget) and return results."""
         sims = self._sims
-        results = [
-            SimulationResult(
-                policy_name=sim.policy.name,
-                workload_name=sim.environment.workload.name,
-                target_accuracy=sim.target_accuracy,
-            )
-            for sim in sims
-        ]
+        results = [sim._new_result() for sim in sims]
         done = [False] * len(sims)
         round_index = 0
         while True:
@@ -100,30 +48,7 @@ class ReplicatedSimulation:
             ]
             if not active:
                 break
-            # Control plane per replicate, in the solo runner's exact call order so each
-            # replicate consumes its RNG streams identically to a standalone run.
-            contexts, decisions, faults, masks = [], [], [], []
-            for i in active:
-                env = sims[i].environment
-                online_mask = env.round_online_mask(round_index)
-                condition_arrays = env.sample_condition_arrays()
-                ctx = RoundContext(
-                    round_index=round_index,
-                    environment=env,
-                    conditions=condition_arrays.lazy_mapping(env.fleet.device_ids),
-                    accuracy=sims[i].backend.accuracy,
-                    condition_arrays=condition_arrays,
-                    online_mask=online_mask,
-                )
-                decision = sims[i].policy.select(ctx)
-                if not decision.participants:
-                    raise SimulationError(
-                        f"policy {sims[i].policy.name!r} selected no participants"
-                    )
-                contexts.append(ctx)
-                decisions.append(decision)
-                faults.append(env.sample_faults(decision.participants, round_index))
-                masks.append(online_mask)
+            plans = [sims[i]._plan_round(round_index) for i in active]
             # One stacked engine call for the whole round's physics.
             with telemetry.get_tracer().span(
                 "replicated_round",
@@ -133,22 +58,13 @@ class ReplicatedSimulation:
             ):
                 batches = execute_batch_replicated(
                     [sims[i]._engine for i in active],
-                    decisions,
-                    [ctx.condition_arrays for ctx in contexts],
-                    faults=faults,
-                    online_masks=masks,
+                    [plan.decision for plan in plans],
+                    [plan.ctx.condition_arrays for plan in plans],
+                    faults=[plan.faults for plan in plans],
+                    online_masks=[plan.ctx.online_mask for plan in plans],
                 )
-            for pos, i in enumerate(active):
-                batch = batches[pos]
-                training = sims[i].backend.run_round(batch.participant_ids)
-                rows = sims[i].environment.fleet_arrays.rows_for(batch.selected_ids)
-                record = _record_from_batch(
-                    round_index, decisions[pos], batch, training, masks[pos], rows
-                )
-                results[i].append(record)
-                if sims[i]._tracker.update(round_index, record.accuracy):
-                    results[i].converged_round = sims[i]._tracker.converged_round
-                    if sims[i]._stop_at_convergence:
-                        done[i] = True
+            for i, plan, batch in zip(active, plans, batches):
+                record = sims[i]._finish_round(plan, batch)
+                done[i] = sims[i]._track(results[i], record)
             round_index += 1
         return results

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -12,6 +14,10 @@ from repro.devices.energy import DeviceEnergy, RoundEnergyAccount
 from repro.devices.fleet_arrays import PROCESSOR_NAMES
 from repro.exceptions import SimulationError
 from repro.fl.metrics import EfficiencySummary
+
+if TYPE_CHECKING:  # pragma: no cover - imports only used for typing
+    from repro.fl.server import RoundTrainingResult
+    from repro.sim.context import SelectionDecision
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,12 @@ class BatchRoundExecution:
     """Array-based outcome of one aggregation round from the vectorised engine.
 
     Every per-participant array is aligned on the selection order of the decision that
-    produced it; ``idle_j`` is fleet-length (fleet order) and zero at participant rows.
-    The container exposes the same aggregate quantities as :class:`RoundExecution`
-    without materialising per-device Python objects — :meth:`to_execution` converts to
-    the scalar representation when a consumer (e.g. a learning policy's feedback hook)
-    needs one.
+    produced it; ``idle_j`` is fleet-length (fleet order) and zero at participant rows,
+    and ``selected_rows`` maps the selection order onto fleet rows.  This is the round
+    outcome the simulation path runs on: records, policy feedback and round observers
+    all read these arrays.  :meth:`to_execution` builds the scalar
+    :class:`RoundExecution` reference view that the invariant auditor and the
+    equivalence tests compare against.
     """
 
     selected_ids: np.ndarray
@@ -100,10 +107,16 @@ class BatchRoundExecution:
     idle_j: np.ndarray
     #: Mid-round failures (fault injection); defaults to all-False for static fleets.
     failed: np.ndarray | None = None
+    #: Fleet row of every selected device (selection order); derived when not given.
+    selected_rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.failed is None:
             self.failed = np.zeros(len(self.selected_ids), dtype=bool)
+        if self.selected_rows is None:
+            sorter = np.argsort(self.fleet_device_ids, kind="stable")
+            positions = np.searchsorted(self.fleet_device_ids, self.selected_ids, sorter=sorter)
+            self.selected_rows = sorter[positions]
 
     @property
     def total_time_s(self) -> np.ndarray:
@@ -131,9 +144,25 @@ class BatchRoundExecution:
         return sorted(int(device_id) for device_id in self.selected_ids[self.failed])
 
     @property
+    def participant_energies_j(self) -> np.ndarray:
+        """Per-participant energy (compute, radio and waiting), in selection order."""
+        return (self.compute_j + self.communication_j) + self.waiting_j
+
+    @cached_property
+    def fleet_energies_j(self) -> np.ndarray:
+        """Per-device energy of the round in fleet order: participants' total draw,
+        everyone else's idle draw (zero for offline devices)."""
+        energies = self.idle_j.copy()
+        energies[self.selected_rows] = self.participant_energies_j
+        return energies
+
+    # The totals add left to right (``np.cumsum(...)[-1]``) — the order of the scalar
+    # account — so records keep the exact floats of the committed goldens; a pairwise
+    # ``np.sum`` differs in the last bits.
+    @property
     def participant_energy_j(self) -> float:
-        """Energy drawn by the selected devices this round (compute, radio and waiting)."""
-        return float(np.sum(self.compute_j + self.communication_j + self.waiting_j))
+        """Energy drawn by the selected devices this round, summed in selection order."""
+        return float(np.cumsum(self.participant_energies_j)[-1])
 
     @property
     def idle_energy_j(self) -> float:
@@ -142,8 +171,8 @@ class BatchRoundExecution:
 
     @property
     def global_energy_j(self) -> float:
-        """Population-wide energy of the round (participants plus idling devices)."""
-        return self.participant_energy_j + self.idle_energy_j
+        """Population-wide energy of the round, summed in fleet order."""
+        return float(np.cumsum(self.fleet_energies_j)[-1])
 
     def to_execution(self) -> "RoundExecution":
         """Materialise the scalar :class:`RoundExecution` equivalent of this round."""
@@ -197,6 +226,30 @@ class RoundRecord:
     failed_ids: tuple[int, ...] = ()
     #: Devices online when the round started (``None`` for a static fleet).
     num_online: int | None = None
+
+    @classmethod
+    def from_batch(
+        cls,
+        round_index: int,
+        decision: "SelectionDecision",
+        batch: BatchRoundExecution,
+        training: "RoundTrainingResult",
+        online_mask: np.ndarray | None,
+    ) -> "RoundRecord":
+        """Assemble the record of one executed round straight from the batch arrays."""
+        return cls(
+            round_index=round_index,
+            selected_ids=tuple(sorted(batch.selected_ids.tolist())),
+            dropped_ids=tuple(batch.dropped_ids),
+            targets=dict(decision.targets),
+            round_time_s=batch.round_time_s,
+            participant_energy_j=batch.participant_energy_j,
+            global_energy_j=batch.global_energy_j,
+            accuracy=training.accuracy,
+            accuracy_improvement=training.accuracy_improvement,
+            failed_ids=tuple(batch.failed_ids),
+            num_online=None if online_mask is None else int(online_mask.sum()),
+        )
 
     @property
     def num_aggregated(self) -> int:

@@ -486,6 +486,7 @@ class RoundEngine:
             fleet_device_ids=arrays.device_ids,
             idle_j=idle_j,
             failed=failed,  # BatchRoundExecution defaults None to all-False.
+            selected_rows=rows,
         )
 
     def _resolve_round(
@@ -868,5 +869,6 @@ def execute_batch_replicated(
                 fleet_device_ids=arrays.device_ids,
                 idle_j=idle_j,
                 failed=None if failed is None else failed[g],
+                selected_rows=rows,
             )
     return [result for result in results if result is not None]

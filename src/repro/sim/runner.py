@@ -3,22 +3,19 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from repro import telemetry
+from repro.dynamics.faults import FaultDraw
 from repro.exceptions import SimulationError
 from repro.fl.metrics import ConvergenceTracker
 from repro.fl.server import RoundTrainingResult, TrainingBackend
 from repro.sim.context import RoundContext, SelectionDecision
 from repro.sim.environment import EdgeCloudEnvironment
-from repro.sim.results import (
-    BatchRoundExecution,
-    RoundExecution,
-    RoundRecord,
-    SimulationResult,
-)
+from repro.sim.results import BatchRoundExecution, RoundRecord, SimulationResult
 from repro.sim.round_engine import RoundEngine
 
 
@@ -39,7 +36,7 @@ class SelectionPolicy(Protocol):
         self,
         ctx: RoundContext,
         decision: SelectionDecision,
-        execution: RoundExecution,
+        batch: BatchRoundExecution,
         training: RoundTrainingResult,
     ) -> None:
         """Receive the measured outcome of the round (used by learning policies)."""
@@ -50,16 +47,16 @@ class RoundObserver(Protocol):
     """Structural interface of a per-round observer hook.
 
     Observers receive every executed round *after* its record is assembled but before
-    the simulation moves on — :mod:`repro.validation` plugs its invariant auditors in
-    here, so any consumer (fuzzer, ``BatchRunner`` self-checks, ad-hoc debugging) can
-    audit the raw :class:`BatchRoundExecution` without re-running the engine.
+    the simulation moves on — solo and replicated runs alike.  :mod:`repro.validation`
+    plugs its invariant auditors in here, so any consumer (fuzzer, ``BatchRunner``
+    self-checks, ad-hoc debugging) can audit the raw :class:`BatchRoundExecution` and
+    the :class:`RoundRecord` built from it without re-running the engine.
     """
 
     def __call__(
         self,
         round_index: int,
         batch: BatchRoundExecution,
-        execution: RoundExecution,
         record: RoundRecord,
         online_mask: np.ndarray | None,
     ) -> None:
@@ -67,8 +64,24 @@ class RoundObserver(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class RoundPlan:
+    """The control-plane half of a round: who was asked to train, on what, under which
+    faults.  The engine turns a plan into a :class:`BatchRoundExecution`."""
+
+    ctx: RoundContext
+    decision: SelectionDecision
+    faults: FaultDraw | None
+
+
 class FLSimulation:
-    """One federated-learning training job under a given selection policy."""
+    """One federated-learning training job under a given selection policy.
+
+    A round is :meth:`_plan_round` (online mask, conditions, selection, faults), one
+    engine call, then :meth:`_finish_round` (training, feedback, record, observer).  The
+    replicate axis (:class:`~repro.sim.replicated.ReplicatedSimulation`) runs the same
+    two steps around one stacked engine call.
+    """
 
     def __init__(
         self,
@@ -112,81 +125,40 @@ class FLSimulation:
         return self._backend
 
     @property
-    def replication_supported(self) -> bool:
-        """Whether this job can ride the replicate axis of the batch engine.
-
-        The replicated path skips the per-round feedback call and the observer hook,
-        so it only applies to non-learning policies without a round observer.  Unknown
-        policies (no ``uses_feedback`` attribute) are conservatively treated as
-        learning.
-        """
-        return (
-            not getattr(self._policy, "uses_feedback", True)
-            and self._round_observer is None
-        )
-
-    @property
     def target_accuracy(self) -> float:
         """The accuracy threshold used to declare convergence."""
         return self._tracker.target_accuracy
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        """Execute a single aggregation round and return its record."""
-        # The three spans mirror the bench phase names (control_plane / energy_math /
-        # feedback) so trace profiles line up with BENCH_roundengine.json numbers.
-        tracer = telemetry.get_tracer()
-        with tracer.span("control_plane", category="engine", round=round_index):
-            # Fleet dynamics first: who is reachable this round (None = static fleet).
-            online_mask = self._env.round_online_mask(round_index)
-            condition_arrays = self._env.sample_condition_arrays()
+    def _plan_round(self, round_index: int) -> RoundPlan:
+        """Control plane of one round: online mask, conditions, selection, faults."""
+        # Fleet dynamics first: who is reachable this round (None = static fleet).
+        online_mask = self._env.round_online_mask(round_index)
+        condition_arrays = self._env.sample_condition_arrays()
+        ctx = RoundContext(
+            round_index=round_index,
+            environment=self._env,
             # Lazy view: scalar policies see the usual per-device mapping, vectorised
             # ones read the arrays and never pay the O(N) object construction.
-            conditions = condition_arrays.lazy_mapping(self._env.fleet.device_ids)
-            ctx = RoundContext(
-                round_index=round_index,
-                environment=self._env,
-                conditions=conditions,
-                accuracy=self._backend.accuracy,
-                condition_arrays=condition_arrays,
-                online_mask=online_mask,
-            )
-            decision = self._policy.select(ctx)
+            conditions=condition_arrays.lazy_mapping(self._env.fleet.device_ids),
+            accuracy=self._backend.accuracy,
+            condition_arrays=condition_arrays,
+            online_mask=online_mask,
+        )
+        decision = self._policy.select(ctx)
         if not decision.participants:
             raise SimulationError(f"policy {self._policy.name!r} selected no participants")
-        with tracer.span("energy_math", category="engine", round=round_index):
-            # Mid-round faults are drawn after selection (the failure of a device that
-            # was never picked is unobservable) from the dedicated dynamics RNG stream.
-            faults = self._env.sample_faults(decision.participants, round_index)
-            # The hot path is the vectorised engine; the scalar RoundExecution view is
-            # materialised once per round for the policy feedback hooks and the record.
-            batch = self._engine.execute_batch(
-                decision, condition_arrays, faults=faults, online_mask=online_mask
-            )
-            execution = batch.to_execution()
-        with tracer.span("feedback", category="engine", round=round_index):
-            training = self._backend.run_round(execution.participant_ids)
-            # Offer the outcome in array form first; policies with a vectorised
-            # learning path (autofl-fast) handle it there and skip the scalar loop.
-            feedback_batch = getattr(self._policy, "feedback_batch", None)
-            handled = (
-                bool(feedback_batch(ctx, decision, batch, training))
-                if feedback_batch is not None
-                else False
-            )
-            if not handled:
-                self._policy.feedback(ctx, decision, execution, training)
-        record = RoundRecord(
-            round_index=round_index,
-            selected_ids=tuple(sorted(decision.participants)),
-            dropped_ids=tuple(execution.dropped_ids),
-            targets=dict(decision.targets),
-            round_time_s=execution.round_time_s,
-            participant_energy_j=execution.participant_energy_j,
-            global_energy_j=execution.energy.global_j,
-            accuracy=training.accuracy,
-            accuracy_improvement=training.accuracy_improvement,
-            failed_ids=tuple(execution.failed_ids),
-            num_online=None if online_mask is None else int(online_mask.sum()),
+        # Mid-round faults are drawn after selection (the failure of a device that was
+        # never picked is unobservable) from the dedicated dynamics RNG stream.
+        faults = self._env.sample_faults(decision.participants, round_index)
+        return RoundPlan(ctx=ctx, decision=decision, faults=faults)
+
+    def _finish_round(self, plan: RoundPlan, batch: BatchRoundExecution) -> RoundRecord:
+        """Train on the round's participants, feed the outcome back and record it."""
+        ctx, decision = plan.ctx, plan.decision
+        training = self._backend.run_round(batch.participant_ids)
+        self._policy.feedback(ctx, decision, batch, training)
+        record = RoundRecord.from_batch(
+            ctx.round_index, decision, batch, training, ctx.online_mask
         )
         registry = telemetry.get_registry()
         if registry.enabled:
@@ -211,21 +183,49 @@ class FLSimulation:
             ).observe(record.global_energy_j, policy=policy_name)
         if self._round_observer is not None:
             self._round_observer(
-                round_index=round_index,
+                round_index=ctx.round_index,
                 batch=batch,
-                execution=execution,
                 record=record,
-                online_mask=online_mask,
+                online_mask=ctx.online_mask,
             )
         return record
 
-    def run(self) -> SimulationResult:
-        """Run rounds until convergence (or the round budget) and return the full result."""
-        result = SimulationResult(
+    def _new_result(self) -> SimulationResult:
+        """An empty result for this job, to be filled by :meth:`_track`."""
+        return SimulationResult(
             policy_name=self._policy.name,
             workload_name=self._env.workload.name,
             target_accuracy=self._tracker.target_accuracy,
         )
+
+    def _track(self, result: SimulationResult, record: RoundRecord) -> bool:
+        """Append ``record`` and update convergence; True once the job should stop."""
+        result.append(record)
+        if self._tracker.update(record.round_index, record.accuracy):
+            result.converged_round = self._tracker.converged_round
+            return self._stop_at_convergence
+        return False
+
+    def run_round(self, round_index: int) -> RoundRecord:
+        """Execute a single aggregation round and return its record."""
+        # The three spans mirror the bench phase names (control_plane / energy_math /
+        # feedback) so trace profiles line up with BENCH_roundengine.json numbers.
+        tracer = telemetry.get_tracer()
+        with tracer.span("control_plane", category="engine", round=round_index):
+            plan = self._plan_round(round_index)
+        with tracer.span("energy_math", category="engine", round=round_index):
+            batch = self._engine.execute_batch(
+                plan.decision,
+                plan.ctx.condition_arrays,
+                faults=plan.faults,
+                online_mask=plan.ctx.online_mask,
+            )
+        with tracer.span("feedback", category="engine", round=round_index):
+            return self._finish_round(plan, batch)
+
+    def run(self) -> SimulationResult:
+        """Run rounds until convergence (or the round budget) and return the full result."""
+        result = self._new_result()
         with telemetry.get_tracer().span(
             "simulation",
             category="engine",
@@ -233,12 +233,8 @@ class FLSimulation:
             workload=self._env.workload.name,
         ):
             for round_index in range(self._max_rounds):
-                record = self.run_round(round_index)
-                result.append(record)
-                if self._tracker.update(round_index, record.accuracy):
-                    result.converged_round = self._tracker.converged_round
-                    if self._stop_at_convergence:
-                        break
+                if self._track(result, self.run_round(round_index)):
+                    break
         return result
 
     @classmethod
@@ -247,7 +243,6 @@ class FLSimulation:
 
         Each replicate's result is byte-identical to running it alone via :meth:`run`;
         the per-round physics of all replicates executes as one stacked engine call.
-        Every simulation must satisfy :attr:`replication_supported`.
         """
         from repro.sim.replicated import ReplicatedSimulation
 

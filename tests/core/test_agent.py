@@ -56,6 +56,14 @@ class TestAgentSelection:
             action in agent.catalog.action_ids for action in selection.actions.values()
         )
 
+    def test_exploration_round_returns_python_ints(self, small_fleet):
+        # Explore-round ids end up in RoundRecord.selected_ids, which must serialise.
+        agent = _make_agent(small_fleet, epsilon=1.0)
+        selection = agent.select(GLOBAL_STATE, _local_states(small_fleet), 5)
+        assert selection.explored
+        assert all(type(device_id) is int for device_id in selection.participant_ids)
+        assert all(type(device_id) is int for device_id in selection.actions)
+
     def test_exploration_round_is_random(self, small_fleet):
         agent = _make_agent(small_fleet, epsilon=1.0)
         selection = agent.select(GLOBAL_STATE, _local_states(small_fleet), 5)

@@ -126,11 +126,23 @@ class TestAutoFLPolicy:
                 == small_environment.global_params.num_participants
             )
             assert set(decision.targets) == set(decision.participants)
-            execution = engine.execute(decision, conditions)
-            training = small_backend.run_round(execution.participant_ids)
-            policy.feedback(ctx, decision, execution, training)
+            batch = engine.execute_batch(decision, conditions)
+            training = small_backend.run_round(batch.participant_ids)
+            policy.feedback(ctx, decision, batch, training)
         assert len(policy.reward_history()) == 5
         assert policy.agent.qtable_store.total_entries() > 0
+
+    def test_feedback_rejects_the_scalar_execution(self, small_environment, small_backend):
+        # A stale caller still passing RoundExecution must fail, not silently not learn.
+        policy = AutoFLPolicy(rng=np.random.default_rng(0))
+        engine = RoundEngine(small_environment)
+        conditions = small_environment.sample_round_conditions()
+        ctx = RoundContext(0, small_environment, conditions, small_backend.accuracy)
+        decision = policy.select(ctx)
+        execution = engine.execute(decision, conditions)
+        training = small_backend.run_round(execution.participant_ids)
+        with pytest.raises(AttributeError, match="fleet_energies_j"):
+            policy.feedback(ctx, decision, execution, training)
 
     def test_qtable_sharing_mode_respected(self, small_environment, small_backend):
         policy = AutoFLPolicy(rng=np.random.default_rng(0), qtable_sharing=QTableStore.PER_DEVICE)
@@ -158,9 +170,9 @@ class TestAutoFLPolicy:
             conditions = environment.sample_round_conditions()
             ctx = RoundContext(round_index, environment, conditions, backend.accuracy)
             decision = policy.select(ctx)
-            execution = engine.execute(decision, conditions)
-            training = backend.run_round(execution.participant_ids)
-            policy.feedback(ctx, decision, execution, training)
+            batch = engine.execute_batch(decision, conditions)
+            training = backend.run_round(batch.participant_ids)
+            policy.feedback(ctx, decision, batch, training)
             if round_index >= 40:
                 last_selections.append(decision.participants)
         non_iid_ids = {

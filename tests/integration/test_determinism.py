@@ -8,6 +8,7 @@ trajectory (a constant serialisation would also pass the first check).
 
 import dataclasses
 import functools
+import json
 
 import pytest
 
@@ -64,3 +65,13 @@ class TestShippedPresetDeterminism:
     @pytest.mark.parametrize("preset", SHIPPED_PRESETS)
     def test_different_seed_differs(self, preset):
         assert _cached_run(preset, seed=0) != _serialised_run(preset, seed=1)
+
+
+@pytest.mark.parametrize("preset", ["flaky-fleet", "diurnal-1k"])
+def test_autofl_explore_rounds_serialise(preset):
+    # Seed 0 takes its first exploration round at round 9 (flaky-fleet) or 5
+    # (diurnal-1k); its selected ids must still be JSON-serialisable Python ints.
+    scenario = dataclasses.replace(get_scenario_preset(preset), max_rounds=12, seed=0)
+    spec = ExperimentSpec(scenario=scenario, policy="autofl", n_seeds=1, stop_at_convergence=False)
+    result = build_simulation(spec).run()
+    assert json.loads(result.to_json())["records"][9]["selected_ids"]

@@ -8,8 +8,10 @@ twice.
 
 import json
 import multiprocessing
+import sqlite3
 
 import pytest
+from _procs import BARRIER_TIMEOUT_S, join_or_kill
 
 from repro.experiments.runner import ResultStore, run_experiment
 from repro.experiments.spec import ExperimentSpec
@@ -38,9 +40,7 @@ def _run_procs(targets_and_args):
     ]
     for process in processes:
         process.start()
-    for process in processes:
-        process.join(timeout=120)
-    assert all(process.exitcode == 0 for process in processes)
+    join_or_kill(processes)
 
 
 class TestSameHashWriters:
@@ -51,7 +51,7 @@ class TestSameHashWriters:
 
         def hammer(repeats):
             store = ArtifactStore(path)
-            barrier.wait()  # maximise overlap
+            barrier.wait(timeout=BARRIER_TIMEOUT_S)  # maximise overlap
             for _ in range(repeats):
                 store.put(result)
 
@@ -60,6 +60,29 @@ class TestSameHashWriters:
         assert len(store) == 1  # one row, not fifty
         hit = store.get(_spec())
         assert hit is not None and hit.summaries == result.summaries
+
+
+class TestFreshStoreOpen:
+    def test_processes_opening_one_fresh_store_at_once(self, tmp_path):
+        # Every opener races to create the schema and switch the new file to WAL.
+        paths = [tmp_path / f"fresh-{attempt}.sqlite" for attempt in range(10)]
+        barriers = [multiprocessing.Barrier(4) for _ in paths]
+
+        def open_all():
+            for path, barrier in zip(paths, barriers):
+                barrier.wait(timeout=BARRIER_TIMEOUT_S)
+                try:
+                    assert ArtifactStore(path).get_meta("store_schema") is not None
+                except BaseException:
+                    for pending in barriers:  # release the peers at once
+                        pending.abort()
+                    raise
+
+        _run_procs([(open_all, ()) for _ in range(4)])
+        for path in paths:
+            conn = sqlite3.connect(path)
+            assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            conn.close()
 
 
 class TestClaimLease:
@@ -72,7 +95,7 @@ class TestClaimLease:
 
         def grab(worker_id):
             queue = JobQueue(tmp_path / "queue")
-            barrier.wait()
+            barrier.wait(timeout=BARRIER_TIMEOUT_S)
             while True:
                 job = queue.claim(worker_id)
                 if job is None:
@@ -120,7 +143,7 @@ class TestParallelMigration:
         barrier = multiprocessing.Barrier(2)
 
         def migrate():
-            barrier.wait()
+            barrier.wait(timeout=BARRIER_TIMEOUT_S)
             store = open_store(sqlite_path)
             assert len(store) == 4
 

@@ -3,6 +3,7 @@
 import multiprocessing
 
 import pytest
+from _procs import join_or_kill
 
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ResultStore, run_experiment
@@ -135,9 +136,7 @@ class TestTwoHostDrain:
         ]
         for host in hosts:
             host.start()
-        for host in hosts:
-            host.join(timeout=120)
-            assert host.exitcode == 0
+        join_or_kill(hosts)
         for job_id in [*flood_ids, solo_id]:
             job = queue.get(job_id)
             assert job.state is JobState.DONE

@@ -2,14 +2,14 @@
 
 The replicated driver must be a pure wall-clock optimisation: every seed's
 ``SimulationResult`` serialises to the exact bytes the solo run of that seed produces,
-across static scenarios and ones with full fleet dynamics (availability, churn,
-dropouts, slow faults).
+for baseline and learning policies, across static scenarios and ones with full fleet
+dynamics (availability, churn, dropouts, slow faults).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.selection import RandomPolicy, StaticClusterPolicy
+from repro.core.selection import RandomPolicy, StaticClusterPolicy, make_policy
 from repro.exceptions import SimulationError
 from repro.experiments.runner import POLICY_SEED_OFFSET, run_experiment
 from repro.experiments.spec import ExperimentSpec
@@ -18,6 +18,7 @@ from repro.sim.replicated import ReplicatedSimulation
 from repro.sim.round_engine import RoundEngine, execute_batch_replicated
 from repro.sim.runner import FLSimulation
 from repro.sim.scenarios import ScenarioSpec, build_environment, build_surrogate_backend
+from repro.validation.invariants import InvariantAuditor
 
 STATIC_SPEC = dict(workload="cnn-mnist", num_devices=60, max_rounds=6)
 DYNAMIC_SPEC = dict(
@@ -34,24 +35,93 @@ DYNAMIC_SPEC = dict(
 )
 
 
-def _simulation(spec_kwargs, seed, policy_cls=RandomPolicy, stop_at_convergence=False):
+#: Churn plus both fault kinds on the paper-sized fleet, for the learning policies.
+CHURN_FAULT_SPEC = dict(
+    workload="cnn-mnist",
+    num_devices=120,
+    max_rounds=12,
+    churn_rate=0.04,
+    rejoin_rate=0.3,
+    dropout_rate=0.08,
+    slow_fault_rate=0.05,
+)
+
+
+def _simulation(
+    spec_kwargs, seed, policy_cls=RandomPolicy, stop_at_convergence=False, observer=None
+):
     spec = ScenarioSpec(seed=seed, **spec_kwargs)
     environment = build_environment(spec)
     backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
     policy = policy_cls(rng=np.random.default_rng(seed + POLICY_SEED_OFFSET))
     return FLSimulation(
-        environment, policy, backend, stop_at_convergence=stop_at_convergence
+        environment,
+        policy,
+        backend,
+        stop_at_convergence=stop_at_convergence,
+        round_observer=observer,
     )
+
+
+def _named(policy_name):
+    return lambda rng: make_policy(policy_name, rng=rng)
+
+
+def _assert_replicated_matches_solo(spec_kwargs, policy_cls):
+    seeds = [3, 4, 5, 6]
+    solo = [
+        _simulation(spec_kwargs, seed, policy_cls=policy_cls).run().to_json()
+        for seed in seeds
+    ]
+    replicated = FLSimulation.run_replicated(
+        [_simulation(spec_kwargs, seed, policy_cls=policy_cls) for seed in seeds]
+    )
+    assert [result.to_json() for result in replicated] == solo
 
 
 @pytest.mark.parametrize("spec_kwargs", [STATIC_SPEC, DYNAMIC_SPEC], ids=["static", "dynamics"])
 def test_replicated_results_are_byte_identical_to_solo(spec_kwargs):
-    seeds = [3, 4, 5, 6]
-    solo = [_simulation(spec_kwargs, seed).run().to_json() for seed in seeds]
-    replicated = FLSimulation.run_replicated(
-        [_simulation(spec_kwargs, seed) for seed in seeds]
+    _assert_replicated_matches_solo(spec_kwargs, RandomPolicy)
+
+
+@pytest.mark.parametrize("policy_name", ["autofl", "autofl-fast"])
+@pytest.mark.parametrize(
+    "spec_kwargs",
+    [STATIC_SPEC, DYNAMIC_SPEC, CHURN_FAULT_SPEC],
+    ids=["static", "dynamics", "churn-faults"],
+)
+def test_learning_policies_replicate_byte_identically(spec_kwargs, policy_name):
+    _assert_replicated_matches_solo(spec_kwargs, _named(policy_name))
+
+
+def test_replicated_learning_policy_keeps_its_reward_trajectory():
+    # Feedback runs per replicate on the replicate axis: each agent learns exactly what
+    # it learns alone.
+    seeds = [0, 1]
+    solo = [_simulation(CHURN_FAULT_SPEC, seed, policy_cls=_named("autofl")) for seed in seeds]
+    for simulation in solo:
+        simulation.run()
+    replicated = [
+        _simulation(CHURN_FAULT_SPEC, seed, policy_cls=_named("autofl")) for seed in seeds
+    ]
+    FLSimulation.run_replicated(replicated)
+    for alone, stacked in zip(solo, replicated):
+        assert stacked.policy.reward_history() == alone.policy.reward_history()
+        assert len(alone.policy.reward_history()) == CHURN_FAULT_SPEC["max_rounds"]
+
+
+def test_replicated_runs_round_observers():
+    seeds = [3, 4]
+    auditors = [InvariantAuditor() for _ in seeds]
+    results = FLSimulation.run_replicated(
+        [
+            _simulation(DYNAMIC_SPEC, seed, policy_cls=_named("autofl"), observer=auditor)
+            for seed, auditor in zip(seeds, auditors)
+        ]
     )
-    assert [result.to_json() for result in replicated] == solo
+    for auditor, result in zip(auditors, results):
+        assert auditor.report.rounds_checked == result.num_rounds
+        assert auditor.audit_result(result).ok
 
 
 def test_replicated_respects_convergence_stopping():
@@ -67,19 +137,6 @@ def test_replicated_respects_convergence_stopping():
         [_simulation(spec_kwargs, seed, stop_at_convergence=True) for seed in seeds]
     )
     assert [result.to_json() for result in replicated] == solo
-
-
-def test_replicated_rejects_learning_policies():
-    from repro.core.controller import AutoFLPolicy
-
-    spec = ScenarioSpec(seed=0, **STATIC_SPEC)
-    environment = build_environment(spec)
-    backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
-    policy = AutoFLPolicy(rng=np.random.default_rng(1))
-    simulation = FLSimulation(environment, policy, backend)
-    assert not simulation.replication_supported
-    with pytest.raises(SimulationError, match="serially"):
-        ReplicatedSimulation([simulation])
 
 
 def test_replicated_rejects_empty():
@@ -127,12 +184,17 @@ def test_run_experiment_routes_seed_replicas_through_replicate_axis():
     assert list(replicated.summaries) == serial
 
 
-def test_run_experiment_falls_back_to_serial_for_learning_policies():
-    scenario = ScenarioSpec(**STATIC_SPEC)
-    result = run_experiment(
-        ExperimentSpec(scenario=scenario, policy="autofl", n_seeds=2)
+def test_run_experiment_replicates_learning_policies_under_validation():
+    scenario = ScenarioSpec(**CHURN_FAULT_SPEC)
+    spec = ExperimentSpec(
+        scenario=scenario, policy="autofl", n_seeds=2, stop_at_convergence=False
     )
-    assert len(result.summaries) == 2
+    replicated = run_experiment(spec, validate=True)
+    serial = [
+        _simulation(CHURN_FAULT_SPEC, seed, policy_cls=_named("autofl")).run().summary()
+        for seed in range(2)
+    ]
+    assert list(replicated.summaries) == serial
 
 
 def test_static_cluster_policy_rides_the_replicate_axis():
@@ -152,37 +214,6 @@ def test_static_cluster_policy_rides_the_replicate_axis():
         ]
     )
     assert [result.to_json() for result in replicated] == solo
-
-
-class _BatchAwarePolicy(RandomPolicy):
-    """Counts which feedback form the runner offers."""
-
-    def __init__(self, rng, handle_batch):
-        super().__init__(rng)
-        self.handle_batch = handle_batch
-        self.batch_calls = 0
-        self.scalar_calls = 0
-
-    def feedback_batch(self, ctx, decision, batch, training):
-        self.batch_calls += 1
-        return self.handle_batch
-
-    def feedback(self, ctx, decision, execution, training):
-        self.scalar_calls += 1
-
-
-@pytest.mark.parametrize("handle_batch", [True, False])
-def test_runner_offers_batch_feedback_first(handle_batch):
-    spec = ScenarioSpec(seed=0, **STATIC_SPEC)
-    environment = build_environment(spec)
-    backend = build_surrogate_backend(environment, aggregator=spec.aggregator)
-    policy = _BatchAwarePolicy(np.random.default_rng(9), handle_batch)
-    FLSimulation(
-        environment, policy, backend, max_rounds=3, stop_at_convergence=False
-    ).run()
-    assert policy.batch_calls == 3
-    # The scalar form is materialised only when the batch form was declined.
-    assert policy.scalar_calls == (0 if handle_batch else 3)
 
 
 def test_bench_replication_smoke():
