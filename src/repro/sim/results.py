@@ -105,18 +105,14 @@ class BatchRoundExecution:
     round_time_s: float
     fleet_device_ids: np.ndarray
     idle_j: np.ndarray
+    #: Fleet row of every selected device (selection order).
+    selected_rows: np.ndarray
     #: Mid-round failures (fault injection); defaults to all-False for static fleets.
     failed: np.ndarray | None = None
-    #: Fleet row of every selected device (selection order); derived when not given.
-    selected_rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.failed is None:
             self.failed = np.zeros(len(self.selected_ids), dtype=bool)
-        if self.selected_rows is None:
-            sorter = np.argsort(self.fleet_device_ids, kind="stable")
-            positions = np.searchsorted(self.fleet_device_ids, self.selected_ids, sorter=sorter)
-            self.selected_rows = sorter[positions]
 
     @property
     def total_time_s(self) -> np.ndarray:
@@ -239,7 +235,7 @@ class RoundRecord:
         """Assemble the record of one executed round straight from the batch arrays."""
         return cls(
             round_index=round_index,
-            selected_ids=tuple(sorted(batch.selected_ids.tolist())),
+            selected_ids=tuple(sorted(decision.participants)),
             dropped_ids=tuple(batch.dropped_ids),
             targets=dict(decision.targets),
             round_time_s=batch.round_time_s,

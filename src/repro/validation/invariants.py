@@ -236,7 +236,7 @@ def check_batch_execution(
 ) -> list[InvariantViolation]:
     """Audit one :class:`BatchRoundExecution` (the vectorised engine's native output).
 
-    The energy identity is cross-checked against the batch's scalar reference view
+    The energy totals are cross-checked against the batch's scalar reference view
     (:meth:`~repro.sim.results.BatchRoundExecution.to_execution`).
     """
     violations: list[InvariantViolation] = []
@@ -371,6 +371,15 @@ def check_batch_execution(
     # well-formed arrays, so the cross-check is skipped once those are already broken.
     if not any(violation.invariant == "finite-nonnegative" for violation in violations):
         scalar = batch.to_execution()
+        if not _close(batch.participant_energy_j, scalar.participant_energy_j):
+            violations.append(
+                _violation(
+                    "energy-accounting",
+                    f"array-sum participant energy {batch.participant_energy_j!r} J != "
+                    f"per-device outcomes {scalar.participant_energy_j!r} J",
+                    round_index,
+                )
+            )
         if not _close(batch.global_energy_j, scalar.energy.global_j):
             violations.append(
                 _violation(
@@ -518,35 +527,14 @@ class InvariantAuditor:
     def _cross_check(
         self, batch: BatchRoundExecution, record: RoundRecord, round_index: int
     ) -> list[InvariantViolation]:
-        # The trajectory row must faithfully summarise the execution it came from.
-        violations: list[InvariantViolation] = []
-        if sorted(record.selected_ids) != sorted(int(i) for i in batch.selected_ids):
-            violations.append(
+        # The record lists the policy's decision; the engine must have executed exactly
+        # those devices.  (The record's times, energies and failures are read off the
+        # batch itself, which check_batch_execution audits against its scalar view.)
+        if sorted(record.selected_ids) != sorted(batch.selected_ids.tolist()):
+            return [
                 _violation("record-consistency", "record selected_ids != execution", round_index)
-            )
-        if tuple(record.failed_ids) != tuple(batch.failed_ids):
-            violations.append(
-                _violation("record-consistency", "record failed_ids != execution", round_index)
-            )
-        if not _close(record.round_time_s, batch.round_time_s):
-            violations.append(
-                _violation(
-                    "record-consistency",
-                    f"record round_time_s={record.round_time_s!r} != execution "
-                    f"{batch.round_time_s!r}",
-                    round_index,
-                )
-            )
-        if not _close(record.participant_energy_j, batch.participant_energy_j):
-            violations.append(
-                _violation(
-                    "record-consistency",
-                    f"record participant_energy_j={record.participant_energy_j!r} != "
-                    f"execution {batch.participant_energy_j!r}",
-                    round_index,
-                )
-            )
-        return violations
+            ]
+        return []
 
     def audit_result(self, result: SimulationResult) -> ValidationReport:
         """Audit the finished trajectory and return the accumulated report."""

@@ -29,6 +29,7 @@ def _batch_execution() -> BatchRoundExecution:
         round_time_s=3.0,
         fleet_device_ids=np.array([0, 1, 2, 3, 4]),
         idle_j=np.array([0.0, 6.0, 0.0, 6.0, 0.0]),
+        selected_rows=np.array([4, 2, 0]),
         failed=np.array([False, False, True]),
     )
 
@@ -63,6 +64,7 @@ class TestBatchRoundExecution:
             round_time_s=execution.round_time_s,
             fleet_device_ids=execution.fleet_device_ids,
             idle_j=execution.idle_j,
+            selected_rows=execution.selected_rows,
         )
         assert not plain.failed.any()
         assert plain.participant_ids == [0, 4]

@@ -117,6 +117,29 @@ class TestCheckBatchExecution:
         names = {violation.invariant for violation in check_batch_execution(batch)}
         assert "failure-semantics" in names
 
+    def test_participant_total_disagreeing_with_scalar_view_detected(self, batch, monkeypatch):
+        # The array total must match the per-device outcomes of to_execution().
+        monkeypatch.setattr(
+            type(batch), "participant_energy_j", property(lambda self: 0.0)
+        )
+        violations = check_batch_execution(batch)
+        assert [violation.invariant for violation in violations] == ["energy-accounting"]
+        assert "participant energy" in violations[0].message
+
+    def test_auditor_flags_a_record_of_other_devices(self, batch):
+        auditor = InvariantAuditor()
+        record = _record(
+            selected_ids=tuple(sorted(batch.selected_ids.tolist()))[1:] + (10_000,),
+            dropped_ids=(),
+            failed_ids=(),
+            participant_energy_j=batch.participant_energy_j,
+            global_energy_j=batch.global_energy_j,
+            round_time_s=batch.round_time_s,
+        )
+        auditor(0, batch, record, None)
+        names = {violation.invariant for violation in auditor.report.violations}
+        assert "record-consistency" in names
+
 
 class TestCheckRoundExecution:
     def _outcome(self, device_id, **overrides):
